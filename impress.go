@@ -282,11 +282,11 @@ func ValidatePolicy(name string) error { return sched.Validate(name) }
 // PolicyCompare renders the scheduling-policy comparison table over
 // campaign results grouped by their resolved policy — the report behind
 // the policy-compare scenario.
-func PolicyCompare(results []*Result) string { return report.PolicyCompare(results) }
+func PolicyCompare(results []*Result) string { return report.PolicyCompare.Table(results) }
 
 // PolicyCompareCSV writes one policy-comparison CSV row per result.
 func PolicyCompareCSV(w io.Writer, results []*Result) error {
-	return report.PolicyCompareCSV(w, results)
+	return report.PolicyCompare.CSV(w, results)
 }
 
 // RecoveryPolicies returns the registered fault-recovery policy names
@@ -320,42 +320,42 @@ func SteerEnabled(name string) bool { return steer.Enabled(name) }
 // Elastic renders the steering comparison table over campaign results
 // grouped by their steering policy, against the frozen split — the
 // report behind the elastic-screen scenario.
-func Elastic(results []*Result) string { return report.Elastic(results) }
+func Elastic(results []*Result) string { return report.Elastic.Table(results) }
 
 // ElasticCSV writes one steering-comparison CSV row per result.
 func ElasticCSV(w io.Writer, results []*Result) error {
-	return report.ElasticCSV(w, results)
+	return report.Elastic.CSV(w, results)
 }
 
 // Resilience renders the fault-sweep comparison table over campaign
 // results grouped by (recovery policy, failure rate), against their
 // fault-free baselines — the report behind the fault-sweep scenario.
-func Resilience(results []*Result) string { return report.Resilience(results) }
+func Resilience(results []*Result) string { return report.Resilience.Table(results) }
 
 // ResilienceCSV writes one resilience CSV row per result.
 func ResilienceCSV(w io.Writer, results []*Result) error {
-	return report.ResilienceCSV(w, results)
+	return report.Resilience.CSV(w, results)
 }
 
 // Chaos renders the correlated-failure comparison table over campaign
 // results grouped by (recovery policy, steering policy), against their
 // fault-free baselines — the report behind the chaos-sweep scenario.
-func Chaos(results []*Result) string { return report.Chaos(results) }
+func Chaos(results []*Result) string { return report.Chaos.Table(results) }
 
 // ChaosCSV writes one chaos CSV row per result.
 func ChaosCSV(w io.Writer, results []*Result) error {
-	return report.ChaosCSV(w, results)
+	return report.Chaos.CSV(w, results)
 }
 
 // Preemption renders the checkpointed-preemption comparison table over
 // campaign results grouped by (checkpoint interval, kill-vs-drain,
 // steering policy), against their fault-free baselines — the report
 // behind the preempt-sweep scenario.
-func Preemption(results []*Result) string { return report.Preemption(results) }
+func Preemption(results []*Result) string { return report.Preemption.Table(results) }
 
 // PreemptionCSV writes one preemption CSV row per result.
 func PreemptionCSV(w io.Writer, results []*Result) error {
-	return report.PreemptionCSV(w, results)
+	return report.Preemption.CSV(w, results)
 }
 
 // NewTenancyService validates a multi-tenant service spec and prepares
@@ -407,7 +407,7 @@ func JainOf(r *Result) float64 { return report.JainOf(r) }
 // Fairness renders the multi-tenant admission comparison table over
 // service results grouped by admission policy — the report behind the
 // tenant-sweep scenario.
-func Fairness(results []*Result) string { return report.Fairness(results) }
+func Fairness(results []*Result) string { return report.Fairness.Table(results) }
 
 // FairnessCSV writes one fairness CSV row per tenant per service run.
 func FairnessCSV(w io.Writer, results []*Result) error {

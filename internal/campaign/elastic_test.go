@@ -168,14 +168,14 @@ func TestElasticScreenBeatsFrozenSplit(t *testing.T) {
 
 	// The report and its CSV render the race without error and carry the
 	// speedup column.
-	text := report.Elastic(results)
+	text := report.Elastic.Table(results)
 	for _, want := range []string{"greedy", "hysteresis", "none", "Speedup"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("elastic report missing %q:\n%s", want, text)
 		}
 	}
 	var sb strings.Builder
-	if err := report.ElasticCSV(&sb, results); err != nil {
+	if err := report.Elastic.CSV(&sb, results); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(sb.String(), "\n"); got != len(results)+1 {

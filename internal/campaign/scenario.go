@@ -902,8 +902,8 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.PolicyCompare,
-		ReportCSV: report.PolicyCompareCSV,
+		Report:    report.PolicyCompare.Table,
+		ReportCSV: report.PolicyCompare.CSV,
 	}))
 	must(Register(Scenario{
 		Name: "elastic-screen",
@@ -937,8 +937,8 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.Elastic,
-		ReportCSV: report.ElasticCSV,
+		Report:    report.Elastic.Table,
+		ReportCSV: report.Elastic.CSV,
 	}))
 	must(Register(Scenario{
 		Name: "fault-sweep",
@@ -966,8 +966,8 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.Resilience,
-		ReportCSV: report.ResilienceCSV,
+		Report:    report.Resilience.Table,
+		ReportCSV: report.Resilience.CSV,
 	}))
 	must(Register(Scenario{
 		Name: "chaos-sweep",
@@ -1003,8 +1003,8 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.Chaos,
-		ReportCSV: report.ChaosCSV,
+		Report:    report.Chaos.Table,
+		ReportCSV: report.Chaos.CSV,
 	}))
 	must(Register(Scenario{
 		Name: "preempt-sweep",
@@ -1043,8 +1043,8 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.Preemption,
-		ReportCSV: report.PreemptionCSV,
+		Report:    report.Preemption.Table,
+		ReportCSV: report.Preemption.CSV,
 	}))
 	must(Register(Scenario{
 		Name: "tenant-sweep",
@@ -1091,7 +1091,7 @@ func init() {
 			}
 			return all, nil
 		},
-		Report:    report.Fairness,
+		Report:    report.Fairness.Table,
 		ReportCSV: report.FairnessCSV,
 	}))
 }

@@ -96,7 +96,7 @@ func TestTenantSweepAcceptance(t *testing.T) {
 	for _, o := range outs {
 		results = append(results, o.Result)
 	}
-	text := report.Fairness(results)
+	text := report.Fairness.Table(results)
 	for name := range cells {
 		if !strings.Contains(text, name) {
 			t.Fatalf("fairness report lacks %s:\n%s", name, text)

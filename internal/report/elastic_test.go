@@ -27,7 +27,7 @@ func TestElasticReportSpeedup(t *testing.T) {
 		elasticResult("none", 2, 30*time.Hour, 0),
 		elasticResult("greedy", 2, 15*time.Hour, 6),
 	}
-	text := Elastic(results)
+	text := Elastic.Table(results)
 	// Both seeds give greedy exactly 2× over its frozen baseline, and
 	// the transfer column sums.
 	if !strings.Contains(text, "2.000") {
@@ -46,7 +46,7 @@ func TestElasticReportSpeedup(t *testing.T) {
 
 func TestElasticReportWithoutBaseline(t *testing.T) {
 	results := []*core.Result{elasticResult("greedy", 1, 10*time.Hour, 2)}
-	text := Elastic(results)
+	text := Elastic.Table(results)
 	if !strings.Contains(text, "n/a") || !strings.Contains(text, "speedup unavailable") {
 		t.Fatalf("baseline-free report should mark speedup unavailable:\n%s", text)
 	}
@@ -58,7 +58,7 @@ func TestElasticCSVRows(t *testing.T) {
 		elasticResult("hysteresis", 1, 16*time.Hour, 3),
 	}
 	var sb strings.Builder
-	if err := ElasticCSV(&sb, results); err != nil {
+	if err := Elastic.CSV(&sb, results); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

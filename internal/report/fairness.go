@@ -3,8 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"impress/internal/core"
 	"impress/internal/stats"
@@ -28,78 +26,9 @@ func JainOf(r *core.Result) float64 {
 	return stats.JainIndex(tenantSlowdowns(r))
 }
 
-// Fairness renders the multi-tenant admission comparison: one row per
-// admission policy, aggregated over seeds. The columns are the
-// multi-tenancy levers — Jain's fairness index over per-tenant slowdowns,
-// the slowdown distribution (median / p90 / max), admission wait, and
-// reclaim traffic — plus aggregate makespan, so a policy that buys
-// fairness by stalling the whole fleet shows up immediately.
-func Fairness(results []*core.Result) string {
-	groups, names := groupFairness(results)
-
-	t := NewTable("Admission", "Runs", "Tenants", "Jain", "Slowdown p50", "p90", "max",
-		"Wait (h)", "Makespan (h)", "Reclaims")
-	for _, name := range names {
-		rs := groups[name]
-		var jains, makespans []float64
-		var slowdowns, waits []float64
-		tenants, reclaims := 0, 0
-		for _, r := range rs {
-			jains = append(jains, JainOf(r))
-			makespans = append(makespans, r.Makespan.Hours())
-			tenants += len(r.Tenants)
-			for _, ts := range r.Tenants {
-				slowdowns = append(slowdowns, ts.Slowdown)
-				waits = append(waits, ts.Wait.Hours())
-				reclaims += ts.Reclaimed
-			}
-		}
-		t.AddRow(
-			name,
-			fmt.Sprintf("%d", len(rs)),
-			fmt.Sprintf("%d", tenants),
-			fmt.Sprintf("%.3f", stats.Median(jains)),
-			fmt.Sprintf("%.2f", stats.Quantile(slowdowns, 0.5)),
-			fmt.Sprintf("%.2f", stats.Quantile(slowdowns, 0.9)),
-			fmt.Sprintf("%.2f", stats.Max(slowdowns)),
-			fmt.Sprintf("%.2f", stats.Mean(waits)),
-			fmt.Sprintf("%.2f", stats.Median(makespans)),
-			fmt.Sprintf("%d", reclaims),
-		)
-	}
-	var sb strings.Builder
-	sb.WriteString("Multi-tenant fairness comparison (Jain's index over per-tenant slowdowns;\n")
-	sb.WriteString("medians over seeds, waits averaged over tenants, reclaims summed)\n")
-	sb.WriteString(t.String())
-	return sb.String()
-}
-
-// groupFairness groups multi-tenant service results by admission policy,
-// with group names sorted. Results without tenant records (plain
-// campaigns) are skipped.
-func groupFairness(results []*core.Result) (map[string][]*core.Result, []string) {
-	groups := make(map[string][]*core.Result)
-	for _, r := range results {
-		if r == nil || len(r.Tenants) == 0 {
-			continue
-		}
-		label := r.Admission
-		if label == "" {
-			label = "fcfs-admit"
-		}
-		groups[label] = append(groups[label], r)
-	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return groups, names
-}
-
 // FairnessCSV writes one row per tenant per service run — the
-// machine-readable companion of Fairness, with the service-level Jain
-// index repeated on each of its tenant rows.
+// machine-readable companion of the Fairness grid, with the
+// service-level Jain index repeated on each of its tenant rows.
 func FairnessCSV(w io.Writer, results []*core.Result) error {
 	if _, err := fmt.Fprintln(w, "admission,seed,jain,tenant,weight,nodes,arrived_h,admitted_h,finished_h,"+
 		"wait_h,runtime_h,slowdown,trajectories,tasks,reclaimed,granted,makespan_h"); err != nil {

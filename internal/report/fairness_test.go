@@ -54,7 +54,7 @@ func TestFairnessReportRanksPolicies(t *testing.T) {
 		// A plain campaign without tenants must be skipped, not crash.
 		{Approach: "IM-RP", Seed: 1, Makespan: 20 * time.Hour},
 	}
-	text := Fairness(results)
+	text := Fairness.Table(results)
 	if !strings.Contains(text, "fcfs-admit") || !strings.Contains(text, "weighted-fair") {
 		t.Fatalf("report lacks policy rows:\n%s", text)
 	}

@@ -35,14 +35,14 @@ func TestPolicyCompareRendering(t *testing.T) {
 		fakePolicyResult("fifo", 13*time.Hour, 50*time.Minute),
 		fakePolicyResult("bestfit", 10*time.Hour, 10*time.Minute),
 	}
-	text := PolicyCompare(rs)
+	text := PolicyCompare.Table(rs)
 	for _, want := range []string{"Policy", "Makespan", "Queue wait", "fifo", "bestfit", "+6.00"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("PolicyCompare output missing %q:\n%s", want, text)
 		}
 	}
 	var sb strings.Builder
-	if err := PolicyCompareCSV(&sb, rs); err != nil {
+	if err := PolicyCompare.CSV(&sb, rs); err != nil {
 		t.Fatal(err)
 	}
 	csv := sb.String()

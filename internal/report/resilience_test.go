@@ -43,7 +43,7 @@ func TestResilienceTable(t *testing.T) {
 		fakeFaulty(1, "retry", 0.15, 12*time.Hour),
 		fakeFaulty(1, "none", 0.15, 11*time.Hour),
 	}
-	text := Resilience(results)
+	text := Resilience.Table(results)
 	for _, want := range []string{"retry", "none", "0.15", "1×10 2×3", "1.20"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("resilience table missing %q:\n%s", want, text)
@@ -54,19 +54,19 @@ func TestResilienceTable(t *testing.T) {
 		t.Fatalf("goodput not rendered:\n%s", text)
 	}
 	// Without baselines, inflation degrades gracefully.
-	noBase := Resilience(results[1:])
+	noBase := Resilience.Table(results[1:])
 	if !strings.Contains(noBase, "n/a") || !strings.Contains(noBase, "inflation unavailable") {
 		t.Fatalf("missing-baseline handling wrong:\n%s", noBase)
 	}
 	// Nil results are skipped.
-	if got := Resilience([]*core.Result{nil}); !strings.Contains(got, "Recovery") {
+	if got := Resilience.Table([]*core.Result{nil}); !strings.Contains(got, "Recovery") {
 		t.Fatalf("nil result broke the table:\n%s", got)
 	}
 }
 
 func TestResilienceCSV(t *testing.T) {
 	var sb strings.Builder
-	err := ResilienceCSV(&sb, []*core.Result{
+	err := Resilience.CSV(&sb, []*core.Result{
 		fakeBaseline(1, 10*time.Hour),
 		fakeFaulty(1, "backoff", 0.05, 15*time.Hour),
 	})

@@ -69,13 +69,6 @@ func TestElasticScreenScenarioShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Build("elastic-screen", Params{Steer: "greedy"}); err == nil {
-		t.Fatal("elastic-screen accepted a fixed steering policy")
-	}
-	// An explicit "none" is the frozen default, not a conflicting policy.
-	if _, err := Build("elastic-screen", Params{Seed: 5, Seeds: 1, Targets: 4, Steer: "none"}); err != nil {
-		t.Fatalf("elastic-screen rejected the no-op steering name: %v", err)
-	}
 }
 
 // TestSteerNoneIsInert proves the frozen split really is frozen: an

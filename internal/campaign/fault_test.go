@@ -51,10 +51,6 @@ func TestFaultSweepScenarioShape(t *testing.T) {
 	if want := 2 * (1 + 3*len(fault.Names())); len(campaigns) != want {
 		t.Fatalf("default grid built %d campaigns, want %d", len(campaigns), want)
 	}
-	// A fixed recovery policy contradicts the race.
-	if _, err := Build("fault-sweep", Params{Recovery: "retry"}); err == nil {
-		t.Fatal("fault-sweep accepted a fixed recovery policy")
-	}
 }
 
 // renderFaultOutcome fingerprints a fault-injected campaign's observable

@@ -155,11 +155,6 @@ func TestScenarioPolicyParam(t *testing.T) {
 	if _, err := Build("pair", Params{Seed: 1, Policy: "nope"}); err == nil {
 		t.Fatal("bogus policy accepted by scenario build")
 	}
-	// policy-compare races every policy; pinning one is a build error,
-	// not a silent no-op.
-	if _, err := Build("policy-compare", Params{Seed: 1, Policy: "bestfit"}); err == nil {
-		t.Fatal("policy-compare accepted a fixed policy")
-	}
 	s, ok := Lookup("policy-compare")
 	if !ok || s.Report == nil {
 		t.Fatal("policy-compare has no scenario report")

@@ -34,19 +34,6 @@ func TestTenantSweepBuild(t *testing.T) {
 	}
 }
 
-func TestTenantSweepRejectsBadParams(t *testing.T) {
-	for name, p := range map[string]Params{
-		"split pilots":  {Seed: 1, SplitPilots: true},
-		"bad admission": {Seed: 1, Admission: "slurm"},
-		"bad reclaim":   {Seed: 1, Reclaim: "greedy"},
-		"bad arrival":   {Seed: 1, Arrival: "poisson"},
-	} {
-		if _, err := Build("tenant-sweep", p); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 // TestTenantSweepAcceptance pins the PR's acceptance criterion at seed
 // 42: eight campaigns arriving on one 12-node shared fleet, where
 // weighted-fair admission with fairshare reclaim must beat fcfs-admit on

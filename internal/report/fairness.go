@@ -8,22 +8,16 @@ import (
 	"impress/internal/stats"
 )
 
-// tenantSlowdowns extracts the per-tenant slowdown vector of one
-// multi-tenant service result.
-func tenantSlowdowns(r *core.Result) []float64 {
-	out := make([]float64, 0, len(r.Tenants))
-	for _, ts := range r.Tenants {
-		out = append(out, ts.Slowdown)
-	}
-	return out
-}
-
 // JainOf returns Jain's fairness index over a service result's per-tenant
 // slowdowns: 1 when the shared cluster stretched every tenant equally,
 // approaching 1/n when admission control sacrificed some tenants to
 // others. A single-tenant service is trivially fair (1).
 func JainOf(r *core.Result) float64 {
-	return stats.JainIndex(tenantSlowdowns(r))
+	slowdowns := make([]float64, len(r.Tenants))
+	for i, ts := range r.Tenants {
+		slowdowns[i] = ts.Slowdown
+	}
+	return stats.JainIndex(slowdowns)
 }
 
 // FairnessCSV writes one row per tenant per service run — the

@@ -14,9 +14,10 @@ import (
 
 // Grid declares a sweep's comparison report as data. Results group by
 // the key columns, which also fix the row order; each result is paired
-// with its seed's baseline makespan; and every column carries a group
-// aggregate for the table and a per-result cell for the CSV. Table and
-// CSV render any Grid, so a new sweep report is one declaration.
+// with its seed's baseline makespan; and every metric column carries a
+// group aggregate for the table and a per-result cell for the CSV.
+// Table and CSV render any Grid, so a new sweep report is one
+// declaration.
 type Grid struct {
 	// Title heads the table: one or more complete lines.
 	Title string
@@ -32,12 +33,28 @@ type Grid struct {
 	BaselineIsCell bool
 	// NoBaseline is printed under the title when no baseline ran.
 	NoBaseline string
-	// Keys group the results into table rows, sorted by key in order.
-	Keys []Key
-	// Cols are the metric columns after the keys.
+	// Cols are the columns in table and CSV order.
 	Cols []Col
 	// Footer, when set, renders lines after the table.
 	Footer func([]*core.Result) string
+}
+
+// A Col is one column: a key column when Of is set, else a metric
+// column. An empty Head or CSV header leaves it out of that output.
+type Col struct {
+	Head, CSV string
+	// Of is a key column's table cell; results with equal key cells
+	// share a table row.
+	Of func(*core.Result) string
+	// Rank orders a key column numerically (nil: by Of).
+	Rank func(*core.Result) float64
+	// Agg is a metric column's table cell over one group.
+	Agg func([]Row) string
+	// Cell is the CSV cell (nil: Of).
+	Cell func(Row) string
+	// Base is the CSV cell on baseline rows kept out of the grid ("":
+	// Cell).
+	Base string
 }
 
 // A Row is one result with its seed's baseline makespan in hours.
@@ -47,29 +64,25 @@ type Row struct {
 	HasBase bool
 }
 
-// A Key is one grouping column: results with equal keys share a table
-// row.
-type Key struct {
-	Head, CSV string
-	// Of is the table cell; results with equal cells group together.
-	Of func(*core.Result) string
-	// Cell is the CSV cell (nil: Of).
-	Cell func(*core.Result) string
-	// Rank orders rows numerically (nil: by Of).
-	Rank func(*core.Result) float64
-	// Base is the CSV cell on baseline rows ("": Cell).
-	Base string
+func (c Col) csv(x Row, apart bool) string {
+	switch {
+	case apart && c.Base != "":
+		return c.Base
+	case c.Cell != nil:
+		return c.Cell(x)
+	}
+	return c.Of(x.Result)
 }
 
-// A Col is one metric column. An empty Head makes it CSV-only, an
-// empty CSV header table-only.
-type Col struct {
-	Head string
-	Agg  func([]Row) string
-	CSV  string
-	Cell func(Row) string
-	// Base is the CSV cell on baseline rows ("": Cell).
-	Base string
+// heads lists the non-empty headers h picks from the columns.
+func (g Grid) heads(h func(Col) string) []string {
+	var out []string
+	for _, c := range g.Cols {
+		if h(c) != "" {
+			out = append(out, h(c))
+		}
+	}
+	return out
 }
 
 // rows pairs every kept result with its seed's baseline and reports
@@ -81,7 +94,7 @@ func (g Grid) rows(results []*core.Result) ([]Row, bool) {
 		if r == nil || (g.Only != nil && !g.Only(r)) {
 			continue
 		}
-		if g.isBaseline(r) {
+		if g.Baseline != nil && g.Baseline(r) {
 			base[r.Seed] = r.Makespan.Hours()
 		}
 		rows = append(rows, Row{Result: r})
@@ -92,13 +105,9 @@ func (g Grid) rows(results []*core.Result) ([]Row, bool) {
 	return rows, len(base) > 0
 }
 
-func (g Grid) isBaseline(r *core.Result) bool {
-	return g.Baseline != nil && g.Baseline(r)
-}
-
 // apart reports whether r is a baseline kept out of the grid's cells.
 func (g Grid) apart(r *core.Result) bool {
-	return !g.BaselineIsCell && g.isBaseline(r)
+	return g.Baseline != nil && !g.BaselineIsCell && g.Baseline(r)
 }
 
 // Table renders one row per key group, aggregated over its results.
@@ -118,24 +127,16 @@ func (g Grid) Table(results []*core.Result) string {
 	}
 	sort.Slice(firsts, func(i, j int) bool { return g.less(firsts[i], firsts[j]) })
 
-	var head []string
-	for _, k := range g.Keys {
-		head = append(head, k.Head)
-	}
-	for _, c := range g.Cols {
-		if c.Head != "" {
-			head = append(head, c.Head)
-		}
-	}
-	t := NewTable(head...)
+	t := NewTable(g.heads(func(c Col) string { return c.Head })...)
 	for _, first := range firsts {
 		rs := groups[g.groupID(first)]
 		var cells []string
-		for _, k := range g.Keys {
-			cells = append(cells, k.Of(first))
-		}
 		for _, c := range g.Cols {
-			if c.Head != "" {
+			switch {
+			case c.Head == "":
+			case c.Of != nil:
+				cells = append(cells, c.Of(first))
+			default:
 				cells = append(cells, c.Agg(rs))
 			}
 		}
@@ -158,25 +159,31 @@ func (g Grid) Table(results []*core.Result) string {
 // where one orders the key.
 func (g Grid) groupID(r *core.Result) string {
 	var sb strings.Builder
-	for _, k := range g.Keys {
-		sb.WriteString(k.Of(r))
-		if k.Rank != nil {
-			fmt.Fprintf(&sb, "@%x", math.Float64bits(k.Rank(r)))
+	for _, c := range g.Cols {
+		if c.Of == nil {
+			continue
+		}
+		sb.WriteString(c.Of(r))
+		if c.Rank != nil {
+			fmt.Fprintf(&sb, "@%x", math.Float64bits(c.Rank(r)))
 		}
 		sb.WriteByte(0)
 	}
 	return sb.String()
 }
 
-// less orders two groups by their keys in declaration order.
+// less orders two groups by their key columns in declaration order.
 func (g Grid) less(a, b *core.Result) bool {
-	for _, k := range g.Keys {
-		if k.Rank != nil {
-			if ra, rb := k.Rank(a), k.Rank(b); ra != rb {
+	for _, c := range g.Cols {
+		if c.Of == nil {
+			continue
+		}
+		if c.Rank != nil {
+			if ra, rb := c.Rank(a), c.Rank(b); ra != rb {
 				return ra < rb
 			}
 		}
-		if oa, ob := k.Of(a), k.Of(b); oa != ob {
+		if oa, ob := c.Of(a), c.Of(b); oa != ob {
 			return oa < ob
 		}
 	}
@@ -186,15 +193,7 @@ func (g Grid) less(a, b *core.Result) bool {
 // CSV writes one row per result, in input order — the machine-readable
 // companion of Table.
 func (g Grid) CSV(w io.Writer, results []*core.Result) error {
-	var head []string
-	for _, k := range g.Keys {
-		head = append(head, k.CSV)
-	}
-	for _, c := range g.Cols {
-		if c.CSV != "" {
-			head = append(head, c.CSV)
-		}
-	}
+	head := g.heads(func(c Col) string { return c.CSV })
 	if _, err := fmt.Fprintln(w, strings.Join(head, ",")); err != nil {
 		return err
 	}
@@ -202,23 +201,9 @@ func (g Grid) CSV(w io.Writer, results []*core.Result) error {
 	for _, x := range rows {
 		apart := g.apart(x.Result)
 		cells := make([]string, 0, len(head))
-		for _, k := range g.Keys {
-			switch {
-			case apart && k.Base != "":
-				cells = append(cells, k.Base)
-			case k.Cell != nil:
-				cells = append(cells, k.Cell(x.Result))
-			default:
-				cells = append(cells, k.Of(x.Result))
-			}
-		}
 		for _, c := range g.Cols {
-			switch {
-			case c.CSV == "":
-			case apart && c.Base != "":
-				cells = append(cells, c.Base)
-			default:
-				cells = append(cells, c.Cell(x))
+			if c.CSV != "" {
+				cells = append(cells, c.csv(x, apart))
 			}
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
@@ -259,10 +244,12 @@ func totalf(format string, div float64, f func(Row) float64) func([]Row) string 
 	return func(rs []Row) string { return fmt.Sprintf(format, stats.Sum(collect(rs, f))/div) }
 }
 
-// ratio renders the median of a ratio to the baseline over the results
-// that have one, or "n/a" when none do.
-func ratio(format string, f func(Row) (float64, bool)) func([]Row) string {
-	return func(rs []Row) string {
+// ratioCol is a ratio to the baseline: in the table the median over
+// the group's results that have a baseline ("n/a" when none do), in the
+// CSV each result's own ratio ("" without a baseline), and base on
+// baseline rows.
+func ratioCol(head, format, csv, base string, f func(Row) (float64, bool)) Col {
+	agg := func(rs []Row) string {
 		var vs []float64
 		for _, x := range rs {
 			if v, ok := f(x); ok {
@@ -274,17 +261,13 @@ func ratio(format string, f func(Row) (float64, bool)) func([]Row) string {
 		}
 		return fmt.Sprintf(format, stats.Median(vs))
 	}
-}
-
-// ratioCell renders one result's ratio to its baseline, or "" without
-// one.
-func ratioCell(f func(Row) (float64, bool)) func(Row) string {
-	return func(x Row) string {
+	cell := func(x Row) string {
 		if v, ok := f(x); ok {
 			return fmt.Sprintf("%.4f", v)
 		}
 		return ""
 	}
+	return Col{Head: head, Agg: agg, CSV: csv, Cell: cell, Base: base}
 }
 
 // inflation is makespan over the baseline makespan.

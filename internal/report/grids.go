@@ -1,8 +1,10 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,8 +22,8 @@ import (
 // protocol shows up immediately.
 var PolicyCompare = Grid{
 	Title: "Scheduling-policy comparison (medians over campaigns; waits averaged)\n",
-	Keys:  []Key{{Head: "Policy", CSV: "policy", Of: (*core.Result).PolicyLabel}},
 	Cols: []Col{
+		{Head: "Policy", CSV: "policy", Of: (*core.Result).PolicyLabel},
 		{Head: "Campaigns", Agg: runs},
 		approachCol, makespanCol, waitCol, maxWaitCol, cpuCol, gpuCol, trajCol, dplddtCol,
 	},
@@ -36,11 +38,11 @@ var Elastic = Grid{
 	Baseline:       func(r *core.Result) bool { return r.SteerLabel() == "none" },
 	BaselineIsCell: true,
 	NoBaseline:     "(no frozen-split runs: speedup unavailable)\n",
-	Keys:           []Key{steerKey},
 	Cols: []Col{
+		steerKey,
 		{Head: "Runs", Agg: runs},
 		seedCol, approachCol, makespanCol,
-		{Head: "Speedup ×", Agg: ratio("%.3f", speedup), CSV: "speedup", Cell: ratioCell(speedup)},
+		ratioCol("Speedup ×", "%.3f", "speedup", "", speedup),
 		waitCol, maxWaitCol, cpuCol, gpuCol,
 		{Head: "Transfers", Agg: total(transfers), CSV: "node_transfers", Cell: count(transfers)},
 		{Head: "Vetoes", Agg: total(vetoes), CSV: "steer_vetoes", Cell: count(vetoes)},
@@ -56,13 +58,13 @@ var Resilience = Grid{
 	Title:      "Resilience comparison (medians over seeds; counts summed)\n",
 	Baseline:   faultFree,
 	NoBaseline: noFaultFree,
-	Keys: []Key{recoveryKey, {
-		Head: "Fail rate", CSV: "fail_rate", Base: "0",
-		Of:   func(r *core.Result) string { return fmt.Sprintf("%.2f", r.Faults.Spec.TaskFailProb) },
-		Cell: func(r *core.Result) string { return fmt.Sprintf("%.4f", r.Faults.Spec.TaskFailProb) },
-		Rank: func(r *core.Result) float64 { return r.Faults.Spec.TaskFailProb },
-	}},
 	Cols: []Col{
+		recoveryKey, {
+			Head: "Fail rate", CSV: "fail_rate", Base: "0",
+			Of:   func(r *core.Result) string { return fmt.Sprintf("%.2f", r.Faults.Spec.TaskFailProb) },
+			Cell: func(x Row) string { return fmt.Sprintf("%.4f", x.Faults.Spec.TaskFailProb) },
+			Rank: func(r *core.Result) float64 { return r.Faults.Spec.TaskFailProb },
+		},
 		{Head: "Runs", Agg: runs},
 		seedCol, approachCol, goodputCol, makespanCol, inflationCol,
 		faultCount("Killed PL", "killed_pipelines", func(f *core.FaultStats) int { return f.KilledPipelines }),
@@ -85,8 +87,8 @@ var Chaos = Grid{
 	Title:      "Chaos comparison: recovery × steering under correlated failures (medians over seeds; counts summed)\n",
 	Baseline:   faultFree,
 	NoBaseline: noFaultFree,
-	Keys:       []Key{recoveryKey, steerKey},
 	Cols: []Col{
+		recoveryKey, steerKey,
 		{Head: "Runs", Agg: runs},
 		seedCol, approachCol, goodputCol, makespanCol, inflationCol,
 		faultCount("Crashes", "node_crashes", func(f *core.FaultStats) int { return f.NodeCrashes }),
@@ -107,7 +109,23 @@ var Preemption = Grid{
 		"(medians over seeds; counts and core-hours summed)\n",
 	Baseline:   faultFree,
 	NoBaseline: noFaultFree,
-	Keys: []Key{{
+	Cols: []Col{
+		ckptKey, modeKey, steerKey,
+		{Head: "Runs", Agg: runs},
+		seedCol, approachCol, goodputCol, makespanCol, inflationCol,
+		{Head: "Wasted core-h", Agg: totalf("%.2f", 1, wasted), CSV: "wasted_core_h", Cell: f4(wasted), Base: "0"},
+		{Head: "Preempted core-h", Agg: totalf("%.2f", 1, preempted), CSV: "preempted_core_h", Cell: f4(preempted), Base: "0"},
+		faultCount("Evictions", "evictions", func(f *core.FaultStats) int { return f.Evictions }),
+		faultCount("Resumes", "resumes", func(f *core.FaultStats) int { return f.Resumes }),
+		faultCount("WT kills", "walltime_kills", func(f *core.FaultStats) int { return f.WalltimeKills }),
+		transfersCol, killedCol, resubCol, termCol,
+	},
+}
+
+// ckptKey and modeKey are the preemption grid's checkpoint-cadence and
+// walltime-mode keys.
+var (
+	ckptKey = Col{
 		Head: "Ckpt", CSV: "checkpoint_interval_s", Base: "baseline",
 		Of: func(r *core.Result) string {
 			if r.CheckpointInterval <= 0 {
@@ -115,9 +133,10 @@ var Preemption = Grid{
 			}
 			return DurLabel(r.CheckpointInterval)
 		},
-		Cell: func(r *core.Result) string { return fmt.Sprintf("%.0f", r.CheckpointInterval.Seconds()) },
+		Cell: func(x Row) string { return fmt.Sprintf("%.0f", x.CheckpointInterval.Seconds()) },
 		Rank: func(r *core.Result) float64 { return float64(r.CheckpointInterval) },
-	}, {
+	}
+	modeKey = Col{
 		Head: "Mode", CSV: "mode", Base: "baseline",
 		Of: func(r *core.Result) string {
 			if r.WalltimeGrace > 0 {
@@ -131,18 +150,8 @@ var Preemption = Grid{
 			}
 			return 0
 		},
-	}, steerKey},
-	Cols: []Col{
-		{Head: "Runs", Agg: runs},
-		seedCol, approachCol, goodputCol, makespanCol, inflationCol,
-		{Head: "Wasted core-h", Agg: totalf("%.2f", 1, wasted), CSV: "wasted_core_h", Cell: f4(wasted), Base: "0"},
-		{Head: "Preempted core-h", Agg: totalf("%.2f", 1, preempted), CSV: "preempted_core_h", Cell: f4(preempted), Base: "0"},
-		faultCount("Evictions", "evictions", func(f *core.FaultStats) int { return f.Evictions }),
-		faultCount("Resumes", "resumes", func(f *core.FaultStats) int { return f.Resumes }),
-		faultCount("WT kills", "walltime_kills", func(f *core.FaultStats) int { return f.WalltimeKills }),
-		transfersCol, killedCol, resubCol, termCol,
-	},
-}
+	}
+)
 
 // Fairness is the multi-tenant admission comparison: one row per
 // admission policy, with Jain's fairness index over per-tenant
@@ -154,13 +163,8 @@ var Fairness = Grid{
 	Title: "Multi-tenant fairness comparison (Jain's index over per-tenant slowdowns;\n" +
 		"medians over seeds, waits averaged over tenants, reclaims summed)\n",
 	Only: func(r *core.Result) bool { return len(r.Tenants) > 0 },
-	Keys: []Key{{Head: "Admission", Of: func(r *core.Result) string {
-		if r.Admission == "" {
-			return "fcfs-admit"
-		}
-		return r.Admission
-	}}},
 	Cols: []Col{
+		{Head: "Admission", Of: func(r *core.Result) string { return cmp.Or(r.Admission, "fcfs-admit") }},
 		{Head: "Runs", Agg: runs},
 		{Head: "Tenants", Agg: total(func(x Row) int { return len(x.Tenants) })},
 		{Head: "Jain", Agg: median("%.3f", func(x Row) float64 { return JainOf(x.Result) })},
@@ -185,17 +189,16 @@ var (
 	faultFree   = func(r *core.Result) bool { return r.Faults == nil }
 	noFaultFree = "(no fault-free baseline runs: makespan inflation unavailable)\n"
 
-	recoveryKey = Key{Head: "Recovery", CSV: "recovery", Base: "baseline",
+	recoveryKey = Col{Head: "Recovery", CSV: "recovery", Base: "baseline",
 		Of: func(r *core.Result) string { return r.Faults.Recovery }}
-	steerKey = Key{Head: "Steer", CSV: "steer", Of: (*core.Result).SteerLabel}
+	steerKey = Col{Head: "Steer", CSV: "steer", Of: (*core.Result).SteerLabel}
 
 	seedCol      = Col{CSV: "seed", Cell: func(x Row) string { return fmt.Sprintf("%d", x.Seed) }}
 	approachCol  = Col{CSV: "approach", Cell: func(x Row) string { return x.Approach }}
 	goodputCol   = Col{Head: "Goodput %", Agg: percent(goodput), CSV: "goodput", Cell: f4(goodput)}
 	makespanCol  = Col{Head: "Makespan (h)", Agg: median("%.2f", hours), CSV: "makespan_h", Cell: f4(hours)}
-	inflationCol = Col{Head: "Inflation ×", Agg: ratio("%.2f", inflation), CSV: "inflation",
-		Cell: ratioCell(inflation), Base: "1"}
-	downtimeCol = Col{Head: "Downtime node-h", Agg: totalf("%.2f", 3600, downtime), CSV: "downtime_node_s",
+	inflationCol = ratioCol("Inflation ×", "%.2f", "inflation", "1", inflation)
+	downtimeCol  = Col{Head: "Downtime node-h", Agg: totalf("%.2f", 3600, downtime), CSV: "downtime_node_s",
 		Cell: func(x Row) string { return fmt.Sprintf("%.1f", downtime(x)) }, Base: "0"}
 	transfersCol = Col{Head: "Transfers", Agg: total(transfers), CSV: "transfers", Cell: count(transfers)}
 	killedCol    = faultCount("Killed PL", "killed_pipelines", func(f *core.FaultStats) int { return f.KilledPipelines })
@@ -278,13 +281,8 @@ func attemptsLabel(rs []Row) string {
 	if len(hist) == 0 {
 		return "-"
 	}
-	attempts := make([]int, 0, len(hist))
-	for a := range hist {
-		attempts = append(attempts, a)
-	}
-	sort.Ints(attempts)
-	parts := make([]string, 0, len(attempts))
-	for _, a := range attempts {
+	var parts []string
+	for _, a := range slices.Sorted(maps.Keys(hist)) {
 		parts = append(parts, fmt.Sprintf("%d×%d", a, hist[a]))
 	}
 	return strings.Join(parts, " ")
@@ -305,13 +303,8 @@ func domainCrashes(results []*core.Result) string {
 	if len(total) == 0 {
 		return ""
 	}
-	doms := make([]string, 0, len(total))
-	for d := range total {
-		doms = append(doms, d)
-	}
-	sort.Strings(doms)
-	parts := make([]string, 0, len(doms))
-	for _, d := range doms {
+	var parts []string
+	for _, d := range slices.Sorted(maps.Keys(total)) {
 		label := d
 		if label == "" {
 			label = "(unlabeled)"

@@ -9,6 +9,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"impress/internal/core"
@@ -96,7 +97,7 @@ func TableI(ctrl, adpt *core.Result) string {
 			if den == 0 {
 				return fmt.Sprintf("%.3g", d)
 			}
-			return fmt.Sprintf("%.3g (%+.1f%%)", d, (num-den)/absf(den)*100)
+			return fmt.Sprintf("%.3g (%+.1f%%)", d, (num-den)/math.Abs(den)*100)
 		}
 		return []string{
 			r.Approach,
@@ -116,13 +117,6 @@ func TableI(ctrl, adpt *core.Result) string {
 	t.AddRow(row(ctrl, nil)...)
 	t.AddRow(row(adpt, ctrl)...)
 	return t.String()
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // metricSpec describes one figure panel.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"impress/internal/cluster"
@@ -45,9 +46,9 @@ type sweep struct {
 	csv  func(io.Writer, []*core.Result) error
 }
 
-// A cellFunc builds the campaign of one cell (base marks the baseline);
-// the sweep fills in its name and seed.
-type cellFunc func(cell Params, base bool) (Campaign, error)
+// A cellFunc fills in the campaign of one cell (base marks the
+// baseline); the sweep has set its name and seed.
+type cellFunc func(c *Campaign, cell Params, base bool) error
 
 // An expander sets one axis' Params field to each of its levels.
 type expander interface {
@@ -113,25 +114,22 @@ func (s sweep) build(p Params) ([]Campaign, error) {
 			return nil, err
 		}
 	}
-	base := p
+	base, per := p, len(cells)
 	if s.baseline != nil {
 		s.baseline(&base)
+		per++
 	}
-	return perSeed(p, func(seed uint64) ([]Campaign, error) {
+	all := make([]Campaign, 0, p.Seeds*per)
+	for i := 0; i < p.Seeds; i++ {
+		seed := p.Seed + uint64(i)
 		mk, err := s.at(seed, p)
 		if err != nil {
 			return nil, err
 		}
-		all := make([]Campaign, 0, len(cells)+1)
 		add := func(label string, cell Params, isBase bool) error {
-			c, err := mk(cell, isBase)
-			if err != nil {
-				return err
-			}
-			c.Name = fmt.Sprintf("%s/%s/seed%d", s.prefix, label, seed)
-			c.Seed = seed
-			all = append(all, c)
-			return nil
+			name := s.prefix + "/" + label + "/seed" + strconv.FormatUint(seed, 10)
+			all = append(all, Campaign{Name: name, Seed: seed})
+			return mk(&all[len(all)-1], cell, isBase)
 		}
 		if s.baseline != nil {
 			if err := add("baseline", base, true); err != nil {
@@ -143,8 +141,8 @@ func (s sweep) build(p Params) ([]Campaign, error) {
 				return nil, err
 			}
 		}
-		return all, nil
-	})
+	}
+	return all, nil
 }
 
 // perSeed concatenates at's campaigns over Seeds consecutive seeds from
@@ -315,9 +313,10 @@ func namedAt(seed uint64, _ Params) (cellFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(cell Params, _ bool) (Campaign, error) {
+	return func(c *Campaign, cell Params, _ bool) error {
 		cfg, err := applyExecution(core.AdaptiveConfig(seed), cell)
-		return Campaign{Targets: targets, Config: cfg}, err
+		c.Targets, c.Config = targets, cfg
+		return err
 	}, nil
 }
 
@@ -334,12 +333,13 @@ func elasticAt(seed uint64, p Params) (cellFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(cell Params, _ bool) (Campaign, error) {
+	return func(c *Campaign, cell Params, _ bool) error {
 		cell.SplitPilots = true
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = cluster.AmarelCluster(elasticNodes)
 		cfg, err := applyExecution(cfg, cell)
-		return Campaign{Targets: targets, Config: cfg}, err
+		c.Targets, c.Config = targets, cfg
+		return err
 	}, nil
 }
 
@@ -381,12 +381,13 @@ func chaosAt(seed uint64, p Params) (cellFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(cell Params, base bool) (Campaign, error) {
+	return func(c *Campaign, cell Params, base bool) error {
 		if !base && !cell.Fault.Enabled() {
 			cell.Fault = chaosFaultSpec()
 		}
 		cfg, err := onPilots(core.AdaptiveConfig(seed), cell, pilots)
-		return Campaign{Targets: targets, Config: cfg}, err
+		c.Targets, c.Config = targets, cfg
+		return err
 	}, nil
 }
 
@@ -421,7 +422,7 @@ func preemptAt(seed uint64, p Params) (cellFunc, error) {
 	cpuA, cpuB := cpu, cpu
 	cpuA.Nodes = cpu.Nodes / 2
 	cpuB.Nodes = cpu.Nodes - cpuA.Nodes
-	return func(cell Params, base bool) (Campaign, error) {
+	return func(c *Campaign, cell Params, base bool) error {
 		ps := []core.PilotSpec{
 			{Name: "pilot-cpu-a", Machine: cpuA, Serves: []core.ResourceClass{core.ClassCPU}},
 			{Name: "pilot-cpu-b", Machine: cpuB, Serves: []core.ResourceClass{core.ClassCPU}},
@@ -434,7 +435,8 @@ func preemptAt(seed uint64, p Params) (cellFunc, error) {
 		cfg := core.AdaptiveConfig(seed)
 		cfg.Machine = machine
 		cfg, err := onPilots(cfg, cell, ps)
-		return Campaign{Targets: targets, Config: cfg}, err
+		c.Targets, c.Config = targets, cfg
+		return err
 	}, nil
 }
 
@@ -462,22 +464,24 @@ func tenantAt(seed uint64, p Params) (cellFunc, error) {
 	if span <= 0 {
 		span = 12 * time.Hour
 	}
-	perTenant := (p.Targets + p.Tenants - 1) / p.Tenants
-	return func(cell Params, _ bool) (Campaign, error) {
+	tenants := p.Tenants
+	perTenant := (p.Targets + tenants - 1) / tenants
+	arrival, reclaim := cmp.Or(p.Arrival, fleet.ArrivalWave), cmp.Or(p.Reclaim, "fairshare")
+	return func(c *Campaign, cell Params, _ bool) error {
 		spec := tenancy.Spec{Config: tenancy.Config{
 			Machine:   machine,
 			Nodes:     caps,
 			Seed:      seed,
-			Arrival:   cmp.Or(p.Arrival, fleet.ArrivalWave),
+			Arrival:   arrival,
 			Span:      span,
 			Admission: cell.Admission,
-			Reclaim:   cmp.Or(p.Reclaim, "fairshare"),
+			Reclaim:   reclaim,
 		}}
-		for i := 0; i < p.Tenants; i++ {
+		for i := 0; i < tenants; i++ {
 			tseed := seed + uint64(i)
 			cfg, err := applyExecution(core.AdaptiveConfig(tseed), cell)
 			if err != nil {
-				return Campaign{}, err
+				return err
 			}
 			if cfg.CheckpointInterval == 0 {
 				// Reclaim drains nodes through checkpoint/evict/resume;
@@ -493,6 +497,7 @@ func tenantAt(seed uint64, p Params) (cellFunc, error) {
 				Config:      cfg,
 			})
 		}
-		return Campaign{Tenancy: &spec}, nil
+		c.Tenancy = &spec
+		return nil
 	}, nil
 }

@@ -289,10 +289,12 @@ func collect(rs []Row, f func(Row) float64) []float64 {
 	return out
 }
 
+// f4 is a CSV cell of f at four decimals.
 func f4(f func(Row) float64) func(Row) string {
 	return func(x Row) string { return fmt.Sprintf("%.4f", f(x)) }
 }
 
+// count is a CSV cell of an integer count.
 func count(f func(Row) int) func(Row) string {
 	return func(x Row) string { return fmt.Sprintf("%d", f(x)) }
 }

@@ -260,13 +260,13 @@ func meanWait(rs []Row) string {
 
 // maxWait is the longest queue wait of a group.
 func maxWait(rs []Row) string {
-	var max time.Duration
+	var longest time.Duration
 	for _, x := range rs {
-		if _, m := x.QueueWait(); m > max {
-			max = m
+		if _, m := x.QueueWait(); m > longest {
+			longest = m
 		}
 	}
-	return fmtWait(max)
+	return fmtWait(longest)
 }
 
 // attemptsLabel renders a group's merged attempts histogram compactly:
@@ -291,25 +291,25 @@ func attemptsLabel(rs []Row) string {
 // domainCrashes sums per-domain crash counts across all fault runs and
 // renders them "rackA×12 rackB×7 (unlabeled)×3", sorted by domain.
 func domainCrashes(results []*core.Result) string {
-	total := make(map[string]int)
+	crashes := make(map[string]int)
 	for _, r := range results {
 		if r == nil || r.Faults == nil {
 			continue
 		}
 		for dom, n := range r.Faults.DomainCrashes {
-			total[dom] += n
+			crashes[dom] += n
 		}
 	}
-	if len(total) == 0 {
+	if len(crashes) == 0 {
 		return ""
 	}
 	var parts []string
-	for _, d := range slices.Sorted(maps.Keys(total)) {
+	for _, d := range slices.Sorted(maps.Keys(crashes)) {
 		label := d
 		if label == "" {
 			label = "(unlabeled)"
 		}
-		parts = append(parts, fmt.Sprintf("%s×%d", label, total[d]))
+		parts = append(parts, fmt.Sprintf("%s×%d", label, crashes[d]))
 	}
 	return "Crashes by domain (all cells): " + strings.Join(parts, " ") + "\n"
 }

@@ -2,11 +2,13 @@ package impress_test
 
 // Scenario digest layer: every registered scenario is built at a pinned
 // seed and reduced size, run on two workers, and its observable output —
-// each outcome's name and full result JSON (task records included), the
-// scenario's text report, and its CSV report — is hashed with SHA-256 and
-// compared against testdata/golden/scenario_digests.golden. A refactor
-// that shifts any scenario's bytes, even consistently from run to run,
-// fails here.
+// each outcome's name and result JSON (once with task records, once
+// without), the scenario's text report, and its CSV report — is hashed
+// with SHA-256 and compared against
+// testdata/golden/scenario_digests.golden. A refactor that shifts any
+// scenario's bytes, even consistently from run to run, fails here. Each
+// result JSON must also survive ReadResultJSON and a second write
+// byte for byte, so the decoder is pinned to the encoder.
 //
 // mega-screen is pinned through its only code path — the screen scenario
 // on the split pilot pair — because its 128-target floor alone would
@@ -17,6 +19,7 @@ package impress_test
 //	UPDATE_GOLDEN=1 go test -run TestScenarioDigests .
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -36,7 +39,7 @@ const scenarioDigestPath = "testdata/golden/scenario_digests.golden"
 var digestParams = impress.ScenarioParams{Seed: 42, Seeds: 1, Targets: 2, Tenants: 2}
 
 // scenarioDigests runs one scenario and returns its digest lines:
-// "<label> outcomes|report|csv <sha256>".
+// "<label> outcomes|outcomes-notasks|report|csv <sha256>".
 func scenarioDigests(t *testing.T, label string, sc impress.Scenario, p impress.ScenarioParams) []string {
 	t.Helper()
 	cs, err := sc.Build(p)
@@ -45,15 +48,21 @@ func scenarioDigests(t *testing.T, label string, sc impress.Scenario, p impress.
 	}
 	outs := impress.RunCampaigns(cs, 2)
 	var results []*impress.Result
-	outcomes := sha256.New()
+	outcomes, notasks := sha256.New(), sha256.New()
 	for _, o := range outs {
 		fmt.Fprintf(outcomes, "== %s\n", o.Name)
+		fmt.Fprintf(notasks, "== %s\n", o.Name)
 		if o.Err != nil {
 			fmt.Fprintf(outcomes, "error %v\n", o.Err)
+			fmt.Fprintf(notasks, "error %v\n", o.Err)
 			continue
 		}
-		if err := o.Result.WriteJSON(outcomes, true); err != nil {
-			t.Fatalf("%s: %s result JSON: %v", label, o.Name, err)
+		for _, m := range []struct {
+			h            hash.Hash
+			includeTasks bool
+		}{{outcomes, true}, {notasks, false}} {
+			js := roundTripJSON(t, label+" "+o.Name, o.Result, m.includeTasks)
+			m.h.Write(js)
 		}
 		results = append(results, o.Result)
 	}
@@ -69,9 +78,31 @@ func scenarioDigests(t *testing.T, label string, sc impress.Scenario, p impress.
 	sum := func(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 	return []string{
 		fmt.Sprintf("%s outcomes %s", label, sum(outcomes)),
+		fmt.Sprintf("%s outcomes-notasks %s", label, sum(notasks)),
 		fmt.Sprintf("%s report %s", label, sum(rep)),
 		fmt.Sprintf("%s csv %s", label, sum(csv)),
 	}
+}
+
+// roundTripJSON writes r's result JSON, checks that reading it back and
+// writing it again gives the same bytes, and returns them.
+func roundTripJSON(t *testing.T, name string, r *impress.Result, includeTasks bool) []byte {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := impress.WriteResultJSON(&first, r, includeTasks); err != nil {
+		t.Fatalf("%s: result JSON (tasks %v): %v", name, includeTasks, err)
+	}
+	loaded, err := impress.ReadResultJSON(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: reading result JSON (tasks %v): %v", name, includeTasks, err)
+	}
+	if err := impress.WriteResultJSON(&second, loaded, includeTasks); err != nil {
+		t.Fatalf("%s: rewriting result JSON (tasks %v): %v", name, includeTasks, err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("%s: result JSON (tasks %v) changed across read and rewrite", name, includeTasks)
+	}
+	return first.Bytes()
 }
 
 func TestScenarioDigests(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +151,71 @@ func TestReadResultJSONRejectsBadSchema(t *testing.T) {
 	if _, err := ReadResultJSON(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// schema1Fixture is a schema-1 record written by the encoder that
+// predates the JSON tags on Result: a reduced tenant-sweep cell (seed 42,
+// 2 tenants, quota admission) without task records, carrying a
+// fault-sweep cell's fault accounting so tenants, faults and final
+// designs are all present.
+const schema1Fixture = "testdata/result_schema1.json"
+
+// TestResultJSONSchema1Fixture pins backward compatibility: an older
+// schema-1 file still decodes and re-encodes to the identical bytes.
+func TestResultJSONSchema1Fixture(t *testing.T) {
+	want, err := os.ReadFile(schema1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReadResultJSON(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tenants) == 0 || res.Faults == nil || len(res.FinalDesigns) == 0 {
+		t.Fatalf("fixture decoded without tenants (%d), faults (%v) or final designs (%d)",
+			len(res.Tenants), res.Faults != nil, len(res.FinalDesigns))
+	}
+	var got bytes.Buffer
+	if err := res.WriteJSON(&got, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("re-encoded fixture differs at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("re-encoded fixture has %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// FuzzReadResultJSON checks that the decoder never panics and that any
+// record it accepts reaches a byte fixpoint after one more write and read.
+// Seeds live in testdata/fuzz/FuzzReadResultJSON.
+func FuzzReadResultJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := ReadResultJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, tasks := range []bool{false, true} {
+			var first, second bytes.Buffer
+			if err := res.WriteJSON(&first, tasks); err != nil {
+				t.Fatalf("writing accepted record (tasks %v): %v", tasks, err)
+			}
+			again, err := ReadResultJSON(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatalf("reading own output (tasks %v): %v", tasks, err)
+			}
+			if err := again.WriteJSON(&second, tasks); err != nil {
+				t.Fatalf("rewriting own output (tasks %v): %v", tasks, err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatalf("no byte fixpoint (tasks %v):\n%s\n---\n%s", tasks, first.Bytes(), second.Bytes())
+			}
+		}
+	})
 }
 
 func TestEventStream(t *testing.T) {

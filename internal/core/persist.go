@@ -4,330 +4,46 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"impress/internal/ga"
-	"impress/internal/landscape"
-	"impress/internal/pipeline"
-	"impress/internal/protein"
-	"impress/internal/telemetry"
-	"impress/internal/trace"
 )
 
 // The JSON schema version; bump on breaking changes.
 const resultSchemaVersion = 1
 
-// structureJSON is the serialized form of a design structure: sequences,
-// coordinates and generation — everything needed to re-emit FASTA/PDB.
-type structureJSON struct {
-	Name       string          `json:"name"`
-	Receptor   string          `json:"receptor"`
-	Peptide    string          `json:"peptide,omitempty"`
-	RecXYZ     []protein.Coord `json:"rec_xyz,omitempty"`
-	PepXYZ     []protein.Coord `json:"pep_xyz,omitempty"`
-	Generation int             `json:"generation"`
-}
-
-func structureToJSON(st *protein.Structure) *structureJSON {
-	if st == nil {
-		return nil
-	}
-	return &structureJSON{
-		Name:       st.Name,
-		Receptor:   st.Receptor.Seq.String(),
-		Peptide:    st.Peptide.Seq.String(),
-		RecXYZ:     st.RecXYZ,
-		PepXYZ:     st.PepXYZ,
-		Generation: st.Generation,
-	}
-}
-
-func (s *structureJSON) toStructure() (*protein.Structure, error) {
-	if s == nil {
-		return nil, nil
-	}
-	rec, err := protein.ParseSequence(s.Receptor)
-	if err != nil {
-		return nil, fmt.Errorf("core: structure %s: %w", s.Name, err)
-	}
-	st := &protein.Structure{
-		Name:       s.Name,
-		Receptor:   protein.Chain{ID: "A", Seq: rec},
-		RecXYZ:     s.RecXYZ,
-		PepXYZ:     s.PepXYZ,
-		Generation: s.Generation,
-	}
-	if s.Peptide != "" {
-		pep, err := protein.ParseSequence(s.Peptide)
-		if err != nil {
-			return nil, fmt.Errorf("core: structure %s peptide: %w", s.Name, err)
-		}
-		st.Peptide = protein.Chain{ID: "B", Seq: pep}
-	}
-	return st, nil
-}
-
-// trajectoryJSON serializes a trajectory without its runtime structure
-// pointers (the accepted design survives via FinalDesigns).
-type trajectoryJSON struct {
-	PipelineID    string            `json:"pipeline_id"`
-	Target        string            `json:"target"`
-	Cycle         int               `json:"cycle"`
-	Generation    int               `json:"generation"`
-	CandidateRank int               `json:"candidate_rank"`
-	Evaluations   int               `json:"evaluations"`
-	Metrics       landscape.Metrics `json:"metrics"`
-	Accepted      bool              `json:"accepted"`
-	Sub           bool              `json:"sub"`
-}
-
-// resultJSON is the on-disk campaign record. New fields must be
-// additive (omitempty or zero-defaulting) so schema 1 files written
-// before them still decode.
-type resultJSON struct {
-	Schema            int                          `json:"schema"`
-	Approach          string                       `json:"approach"`
-	Seed              uint64                       `json:"seed"`
-	Targets           []string                     `json:"targets"`
-	Trajectories      []trajectoryJSON             `json:"trajectories"`
-	PoolEntries       []ga.Entry                   `json:"pool_entries"`
-	BasePipelines     int                          `json:"base_pipelines"`
-	SubPipelines      int                          `json:"sub_pipelines"`
-	EarlyTerminated   int                          `json:"early_terminated"`
-	Evaluations       int                          `json:"evaluations"`
-	TaskCount         int                          `json:"task_count"`
-	FailedTasks       int                          `json:"failed_tasks"`
-	CPUUtilization    float64                      `json:"cpu_utilization"`
-	GPUUtilization    float64                      `json:"gpu_utilization"`
-	MakespanNS        int64                        `json:"makespan_ns"`
-	AggregateNS       int64                        `json:"aggregate_task_time_ns"`
-	Phases            map[string]time.Duration     `json:"phases"`
-	CPUSeries         []trace.Point                `json:"cpu_series"`
-	GPUSeries         []trace.Point                `json:"gpu_series"`
-	TotalCores        int                          `json:"total_cores"`
-	TotalGPUs         int                          `json:"total_gpus"`
-	Pilots            []string                     `json:"pilots,omitempty"`
-	Policies          []string                     `json:"policies,omitempty"`
-	Recoveries        []string                     `json:"recoveries,omitempty"`
-	Steerings         []string                     `json:"steerings,omitempty"`
-	Steer             string                       `json:"steer,omitempty"`
-	NodeTransfers     int                          `json:"node_transfers,omitempty"`
-	SteerVetoes       int                          `json:"steer_vetoes,omitempty"`
-	SteerVetoReasons  map[string]int               `json:"steer_veto_reasons,omitempty"`
-	CheckpointNS      int64                        `json:"checkpoint_interval_ns,omitempty"`
-	WalltimeGraceNS   int64                        `json:"walltime_grace_ns,omitempty"`
-	Faults            *FaultStats                  `json:"faults,omitempty"`
-	Starting          map[string]landscape.Metrics `json:"starting"`
-	FinalBest         map[string]landscape.Metrics `json:"final_best"`
-	FinalDesigns      map[string]*structureJSON    `json:"final_designs"`
-	TaskRecords       []trace.TaskRecord           `json:"task_records,omitempty"`
-	QueueSeries       [][]trace.Point              `json:"queue_series,omitempty"`
-	Telemetry         *telemetry.Data              `json:"telemetry,omitempty"`
-	Admission         string                       `json:"admission,omitempty"`
-	Tenants           []tenantStatJSON             `json:"tenants,omitempty"`
-	IncludeTaskDetail bool                         `json:"include_task_detail"`
-}
-
-// tenantStatJSON is TenantStat with durations flattened to nanoseconds,
-// matching the file schema's other duration fields. Additive: absent for
-// private-cluster campaigns, so schema 1 files round-trip unchanged.
-type tenantStatJSON struct {
-	Name         string  `json:"name"`
-	Weight       float64 `json:"weight,omitempty"`
-	Nodes        int     `json:"nodes,omitempty"`
-	ArrivedNS    int64   `json:"arrived_ns"`
-	AdmittedNS   int64   `json:"admitted_ns"`
-	FinishedNS   int64   `json:"finished_ns"`
-	WaitNS       int64   `json:"wait_ns"`
-	RuntimeNS    int64   `json:"runtime_ns"`
-	Slowdown     float64 `json:"slowdown"`
-	Trajectories int     `json:"trajectories,omitempty"`
-	Tasks        int     `json:"tasks,omitempty"`
-	Reclaimed    int     `json:"reclaimed,omitempty"`
-	Granted      int     `json:"granted,omitempty"`
-}
-
-func tenantStatToJSON(ts TenantStat) tenantStatJSON {
-	return tenantStatJSON{
-		Name:         ts.Name,
-		Weight:       ts.Weight,
-		Nodes:        ts.Nodes,
-		ArrivedNS:    int64(ts.Arrived),
-		AdmittedNS:   int64(ts.Admitted),
-		FinishedNS:   int64(ts.Finished),
-		WaitNS:       int64(ts.Wait),
-		RuntimeNS:    int64(ts.Runtime),
-		Slowdown:     ts.Slowdown,
-		Trajectories: ts.Trajectories,
-		Tasks:        ts.Tasks,
-		Reclaimed:    ts.Reclaimed,
-		Granted:      ts.Granted,
-	}
-}
-
-func (ts tenantStatJSON) toTenantStat() TenantStat {
-	return TenantStat{
-		Name:         ts.Name,
-		Weight:       ts.Weight,
-		Nodes:        ts.Nodes,
-		Arrived:      time.Duration(ts.ArrivedNS),
-		Admitted:     time.Duration(ts.AdmittedNS),
-		Finished:     time.Duration(ts.FinishedNS),
-		Wait:         time.Duration(ts.WaitNS),
-		Runtime:      time.Duration(ts.RuntimeNS),
-		Slowdown:     ts.Slowdown,
-		Trajectories: ts.Trajectories,
-		Tasks:        ts.Tasks,
-		Reclaimed:    ts.Reclaimed,
-		Granted:      ts.Granted,
-	}
+// resultFile is the on-disk campaign record: Result's own JSON tags
+// framed by the schema version first and the task-detail flag last.
+type resultFile struct {
+	Schema int `json:"schema"`
+	*Result
+	IncludeTaskDetail bool `json:"include_task_detail"`
 }
 
 // WriteJSON serializes the result. includeTasks controls whether the
 // per-task timeline (potentially thousands of records) is included.
 func (r *Result) WriteJSON(w io.Writer, includeTasks bool) error {
-	dto := resultJSON{
-		Schema:            resultSchemaVersion,
-		Approach:          r.Approach,
-		Seed:              r.Seed,
-		Targets:           r.Targets,
-		PoolEntries:       r.Pool.Entries(),
-		BasePipelines:     r.BasePipelines,
-		SubPipelines:      r.SubPipelines,
-		EarlyTerminated:   r.EarlyTerminated,
-		Evaluations:       r.Evaluations,
-		TaskCount:         r.TaskCount,
-		FailedTasks:       r.FailedTasks,
-		CPUUtilization:    r.CPUUtilization,
-		GPUUtilization:    r.GPUUtilization,
-		MakespanNS:        int64(r.Makespan),
-		AggregateNS:       int64(r.AggregateTaskTime),
-		Phases:            r.Phases,
-		CPUSeries:         r.CPUSeries,
-		GPUSeries:         r.GPUSeries,
-		TotalCores:        r.TotalCores,
-		TotalGPUs:         r.TotalGPUs,
-		Pilots:            r.Pilots,
-		Policies:          r.Policies,
-		Recoveries:        r.Recoveries,
-		Steerings:         r.Steerings,
-		Steer:             r.Steer,
-		NodeTransfers:     r.NodeTransfers,
-		SteerVetoes:       r.SteerVetoes,
-		SteerVetoReasons:  r.SteerVetoReasons,
-		CheckpointNS:      int64(r.CheckpointInterval),
-		WalltimeGraceNS:   int64(r.WalltimeGrace),
-		Faults:            r.Faults,
-		Starting:          r.Starting,
-		FinalBest:         r.FinalBest,
-		QueueSeries:       r.QueueSeries,
-		Telemetry:         r.Telemetry,
-		Admission:         r.Admission,
-		FinalDesigns:      make(map[string]*structureJSON, len(r.FinalDesigns)),
-		IncludeTaskDetail: includeTasks,
-	}
-	for _, ts := range r.Tenants {
-		dto.Tenants = append(dto.Tenants, tenantStatToJSON(ts))
-	}
-	for _, tr := range r.Trajectories {
-		dto.Trajectories = append(dto.Trajectories, trajectoryJSON{
-			PipelineID:    tr.PipelineID,
-			Target:        tr.Target,
-			Cycle:         tr.Cycle,
-			Generation:    tr.Generation,
-			CandidateRank: tr.CandidateRank,
-			Evaluations:   tr.Evaluations,
-			Metrics:       tr.Metrics,
-			Accepted:      tr.Accepted,
-			Sub:           tr.Sub,
-		})
-	}
-	for name, st := range r.FinalDesigns {
-		dto.FinalDesigns[name] = structureToJSON(st)
-	}
-	if includeTasks {
-		dto.TaskRecords = r.TaskRecords
+	out := *r
+	if !includeTasks {
+		out.TaskRecords = nil
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(dto)
+	return enc.Encode(resultFile{Schema: resultSchemaVersion, Result: &out, IncludeTaskDetail: includeTasks})
 }
 
 // ReadResultJSON loads a campaign record written by WriteJSON. The
 // reconstructed Result supports all read accessors (iteration summaries,
 // net deltas, series, final designs).
 func ReadResultJSON(rd io.Reader) (*Result, error) {
-	var dto resultJSON
-	if err := json.NewDecoder(rd).Decode(&dto); err != nil {
+	f := resultFile{Result: new(Result)}
+	if err := json.NewDecoder(rd).Decode(&f); err != nil {
 		return nil, fmt.Errorf("core: decoding result: %w", err)
 	}
-	if dto.Schema != resultSchemaVersion {
-		return nil, fmt.Errorf("core: result schema %d, want %d", dto.Schema, resultSchemaVersion)
+	if f.Schema != resultSchemaVersion {
+		return nil, fmt.Errorf("core: result schema %d, want %d", f.Schema, resultSchemaVersion)
 	}
-	res := &Result{
-		Approach:           dto.Approach,
-		Seed:               dto.Seed,
-		Targets:            dto.Targets,
-		Pool:               ga.NewPool(),
-		BasePipelines:      dto.BasePipelines,
-		SubPipelines:       dto.SubPipelines,
-		EarlyTerminated:    dto.EarlyTerminated,
-		Evaluations:        dto.Evaluations,
-		TaskCount:          dto.TaskCount,
-		FailedTasks:        dto.FailedTasks,
-		CPUUtilization:     dto.CPUUtilization,
-		GPUUtilization:     dto.GPUUtilization,
-		Makespan:           time.Duration(dto.MakespanNS),
-		AggregateTaskTime:  time.Duration(dto.AggregateNS),
-		Phases:             dto.Phases,
-		CPUSeries:          dto.CPUSeries,
-		GPUSeries:          dto.GPUSeries,
-		TotalCores:         dto.TotalCores,
-		TotalGPUs:          dto.TotalGPUs,
-		Pilots:             dto.Pilots,
-		Policies:           dto.Policies,
-		Recoveries:         dto.Recoveries,
-		Steerings:          dto.Steerings,
-		Steer:              dto.Steer,
-		NodeTransfers:      dto.NodeTransfers,
-		SteerVetoes:        dto.SteerVetoes,
-		SteerVetoReasons:   dto.SteerVetoReasons,
-		CheckpointInterval: time.Duration(dto.CheckpointNS),
-		WalltimeGrace:      time.Duration(dto.WalltimeGraceNS),
-		Faults:             dto.Faults,
-		Starting:           dto.Starting,
-		FinalBest:          dto.FinalBest,
-		FinalDesigns:       make(map[string]*protein.Structure, len(dto.FinalDesigns)),
-		TaskRecords:        dto.TaskRecords,
-		QueueSeries:        dto.QueueSeries,
-		Telemetry:          dto.Telemetry,
-		Admission:          dto.Admission,
+	if f.Pool == nil {
+		f.Pool = ga.NewPool()
 	}
-	for _, ts := range dto.Tenants {
-		res.Tenants = append(res.Tenants, ts.toTenantStat())
-	}
-	for _, e := range dto.PoolEntries {
-		res.Pool.Add(e)
-	}
-	for _, tr := range dto.Trajectories {
-		res.Trajectories = append(res.Trajectories, pipeline.Trajectory{
-			PipelineID:    tr.PipelineID,
-			Target:        tr.Target,
-			Cycle:         tr.Cycle,
-			Generation:    tr.Generation,
-			CandidateRank: tr.CandidateRank,
-			Evaluations:   tr.Evaluations,
-			Metrics:       tr.Metrics,
-			Accepted:      tr.Accepted,
-			Sub:           tr.Sub,
-		})
-	}
-	for name, sj := range dto.FinalDesigns {
-		st, err := sj.toStructure()
-		if err != nil {
-			return nil, err
-		}
-		res.FinalDesigns[name] = st
-	}
-	return res, nil
+	return f.Result, nil
 }

@@ -6,6 +6,7 @@
 package ga
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -210,4 +211,23 @@ func (p *Pool) IterationMetrics(iter int) []landscape.Metrics {
 // Entries returns a copy of all registered entries.
 func (p *Pool) Entries() []Entry {
 	return append([]Entry(nil), p.entries...)
+}
+
+// MarshalJSON encodes the pool as its entry list in registration order.
+func (p *Pool) MarshalJSON() ([]byte, error) {
+	return json.Marshal(p.entries)
+}
+
+// UnmarshalJSON rebuilds the pool from an entry list, re-deriving the
+// per-target best index through Add.
+func (p *Pool) UnmarshalJSON(data []byte) error {
+	var entries []Entry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return err
+	}
+	*p = *NewPool()
+	for _, e := range entries {
+		p.Add(e)
+	}
+	return nil
 }

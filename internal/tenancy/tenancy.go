@@ -17,11 +17,9 @@
 //     checkpoint/evict/resume drain path so reclaimed nodes carry no
 //     lost work beyond the last checkpoint.
 //
-// Everything is deterministic: arrivals and workloads derive from seeds,
-// all simulation-time decisions run on the single engine goroutine, and
-// worker parallelism touches only pre-simulation target construction —
-// the same service replays bit-identically across runs and worker
-// counts.
+// Everything is deterministic: arrivals and workloads derive from seeds
+// and every decision runs on the single engine goroutine, so the same
+// service replays bit-identically across runs.
 package tenancy
 
 import (
@@ -92,9 +90,6 @@ type Config struct {
 	// ReclaimPeriod is the reclaim observation cadence (default
 	// steer.DefaultPeriod).
 	ReclaimPeriod time.Duration
-	// Workers bounds the worker pool that pre-builds tenant workloads;
-	// ≤ 1 builds serially. Changing it never changes results.
-	Workers int
 	// EventCapacity, when positive, attaches an event stream of that
 	// buffer size to every tenant's coordinator.
 	EventCapacity int
@@ -118,10 +113,9 @@ const (
 
 // tenant is the service-side record of one arriving campaign.
 type tenant struct {
-	idx      int
-	spec     TenantSpec
-	targets  []*workload.Target
-	buildErr error
+	idx     int
+	spec    TenantSpec
+	targets []*workload.Target
 
 	coord  *core.Coordinator
 	events *core.EventStream
@@ -238,30 +232,16 @@ func (s *Service) Run() (*core.Result, error) {
 	}
 	s.ran = true
 
-	// Pre-build every tenant's workload on a bounded worker pool. This
-	// is the only parallel phase: each build depends solely on the
-	// tenant's own seed, so worker count never changes results.
-	runIndexed(len(s.tenants), s.cfg.Workers, func(i int) {
-		t := s.tenants[i]
-		defer func() {
-			if r := recover(); r != nil {
-				t.buildErr = fmt.Errorf("tenancy: tenant %s workload build panicked: %v", t.name(), r)
-			}
-		}()
-		if t.spec.Targets != nil {
-			t.targets = t.spec.Targets
-			return
-		}
-		targets, err := workload.MinedScreen(xrand.Derive(t.spec.Seed, "tenant:"+t.name()), t.spec.TargetCount, workload.DefaultConfig())
-		if err != nil {
-			t.buildErr = err
-			return
-		}
-		t.targets = targets
-	})
+	// Build every tenant's workload before the clock starts; each build
+	// depends solely on the tenant's own seed.
 	for _, t := range s.tenants {
-		if t.buildErr != nil {
-			return nil, t.buildErr
+		t.targets = t.spec.Targets
+		if t.targets == nil {
+			targets, err := workload.MinedScreen(xrand.Derive(t.spec.Seed, "tenant:"+t.name()), t.spec.TargetCount, workload.DefaultConfig())
+			if err != nil {
+				return nil, err
+			}
+			t.targets = targets
 		}
 	}
 
@@ -712,39 +692,4 @@ func (s *Service) aggregate() *core.Result {
 		return a.ID < b.ID
 	})
 	return agg
-}
-
-// runIndexed is the bounded worker pool for pre-simulation workload
-// construction (a local copy of the campaign engine's shape; importing
-// it would cycle).
-func runIndexed(n, workers int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				fn(i)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
 }

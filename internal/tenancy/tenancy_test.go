@@ -100,24 +100,21 @@ func TestServiceSingleTenantInstant(t *testing.T) {
 }
 
 // TestServiceDeterminism is the multi-tenant replay proof: the same seed
-// must produce a byte-identical service record across repeated runs and
-// across worker counts. CI runs this under -race, so it doubles as the
-// shared-cluster concurrency check.
+// must produce a byte-identical service record across repeated runs. The
+// service runs on one goroutine, so this checks replay, not concurrency.
 func TestServiceDeterminism(t *testing.T) {
-	render := func(workers int) []byte {
-		spec := testSpec(4, 3, 1, "weighted-fair", "fairshare", "wave", 42)
-		spec.Config.Workers = workers
-		_, res := runService(t, spec)
+	render := func() []byte {
+		_, res := runService(t, testSpec(4, 3, 1, "weighted-fair", "fairshare", "wave", 42))
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf, true); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	first := render(1)
-	for _, workers := range []int{1, 4} {
-		if got := render(workers); !bytes.Equal(first, got) {
-			t.Fatalf("service record diverged at workers=%d", workers)
+	first := render()
+	for run := 2; run <= 3; run++ {
+		if got := render(); !bytes.Equal(first, got) {
+			t.Fatalf("service record diverged on run %d", run)
 		}
 	}
 }

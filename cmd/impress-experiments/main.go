@@ -91,28 +91,12 @@ func run() int {
 			Reclaim:            common.Reclaim,
 		}, common.Parallel, csvPath, common.ChromeTrace)
 	}
-	if common.CheckpointInterval > 0 || common.WalltimeGrace > 0 {
-		// The paper experiments predate checkpointed preemption; the
-		// evict-and-resume machinery hangs off scenario runs.
-		fmt.Fprintln(os.Stderr, "-checkpoint-interval and -walltime-grace apply only to -scenario runs (the paper experiments replicate the paper's execution model)")
-		return 2
-	}
-	if impress.SteerEnabled(common.Steer) {
-		// The paper experiments run the single-pilot Amarel node; there is
-		// nothing to steer between. Reject rather than silently drop (an
-		// explicit "none" is the default and passes through).
-		fmt.Fprintln(os.Stderr, "-steer applies only to -scenario runs (the paper experiments are single-pilot)")
-		return 2
-	}
-	if common.Fleet != "" {
-		// Same reasoning: generated fleets exist for fleet-driven scenarios.
-		fmt.Fprintln(os.Stderr, "-fleet applies only to -scenario runs (the paper experiments run the paper's machine)")
-		return 2
-	}
-	if common.ChromeTrace != "" {
-		// Same reasoning: the experiment harness owns its output set; the
-		// timeline exporter hangs off scenario runs.
-		fmt.Fprintln(os.Stderr, "-chrome-trace applies only to -scenario runs (the paper experiments write their own outputs)")
+	// The paper experiments replicate the paper's execution model: one
+	// pilot on the paper's machine, no checkpointed preemption, and their
+	// own output set.
+	scenarioOnly := append(cliflags.ScenarioOnlyFlagNames(), "checkpoint-interval", "walltime-grace", "steer", "fleet", "chrome-trace")
+	if set := cliflags.WhichSet(flag.CommandLine, scenarioOnly...); len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "flags %v apply only to -scenario runs (the paper experiments replicate the paper's single-pilot execution model)\n", set)
 		return 2
 	}
 	seed := &common.Seed

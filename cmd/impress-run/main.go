@@ -106,7 +106,7 @@ func run() int {
 			for _, name := range cliflags.PreemptFlagNames() {
 				compat[name] = true
 			}
-			for _, name := range cliflags.TenancyFlagNames() {
+			for _, name := range cliflags.ScenarioOnlyFlagNames() {
 				compat[name] = true
 			}
 			var ignored []string
@@ -139,6 +139,11 @@ func run() int {
 			Admission:          common.Admission,
 			Reclaim:            common.Reclaim,
 		}, common.Parallel, *csvPath, common.ChromeTrace)
+	}
+
+	if set := cliflags.WhichSet(flag.CommandLine, cliflags.ScenarioOnlyFlagNames()...); len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "flags %v apply only to -scenario runs\n", set)
+		return 2
 	}
 
 	// The protocol config fully encodes the execution policy here

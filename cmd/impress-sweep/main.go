@@ -87,6 +87,12 @@ func run() int {
 		p.Seeds = *nSeeds
 		return scenariorun.Run(os.Stdout, os.Stderr, *scenario, p, common.Parallel, *csvPath, common.ChromeTrace)
 	}
+	// The pair scenario runs on the paper's machine, scaled only by
+	// -nodes and -pilots.
+	if set := cliflags.WhichSet(flag.CommandLine, append(cliflags.ScenarioOnlyFlagNames(), "fleet")...); len(set) > 0 {
+		fmt.Fprintf(os.Stderr, "flags %v apply only to -scenario runs (the pair sweep runs the paper's machine)\n", set)
+		return 2
+	}
 	common.PrintWarnings(os.Stderr)
 
 	// Build the sweep as campaign data: a CONT-V/IM-RP pair per seed.

@@ -361,8 +361,26 @@ func PreemptFlagNames() []string {
 	return []string{"checkpoint-interval", "walltime-grace"}
 }
 
-// TenancyFlagNames lists the multi-tenant service flags this package
-// registers — the allowlist companion of FaultFlagNames.
-func TenancyFlagNames() []string {
+// ScenarioOnlyFlagNames lists the shared flags that only -scenario runs
+// read (today the tenant-sweep service knobs): no command's direct run
+// consults them, so every command rejects them outside -scenario.
+func ScenarioOnlyFlagNames() []string {
 	return []string{"tenants", "arrival", "arrival-span", "admit", "reclaim"}
+}
+
+// WhichSet returns, as "-name" in lexical order, those of names that were
+// set on the command line fs parsed — the flags a command would otherwise
+// silently ignore.
+func WhichSet(fs *flag.FlagSet, names ...string) []string {
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		want[n] = true
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if want[f.Name] {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }

@@ -197,3 +197,27 @@ func TestStartProfilesNoFlagsIsNoop(t *testing.T) {
 	}
 	stop()
 }
+
+func TestWhichSet(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs, Options{WithPilots: true})
+	for _, name := range ScenarioOnlyFlagNames() {
+		if fs.Lookup(name) == nil {
+			t.Fatalf("scenario-only flag -%s is not registered", name)
+		}
+	}
+	if got := WhichSet(fs, ScenarioOnlyFlagNames()...); got != nil {
+		t.Fatalf("before parsing: %v set", got)
+	}
+	// An explicit default counts as set: the command still ignores it.
+	if err := fs.Parse([]string{"-tenants", "3", "-fault", "0.1", "-admit", "quota", "-reclaim", ""}); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(WhichSet(fs, ScenarioOnlyFlagNames()...), " ")
+	if want := "-admit -reclaim -tenants"; got != want {
+		t.Fatalf("WhichSet = %q, want %q", got, want)
+	}
+	if got := WhichSet(fs, "fleet", "steer"); got != nil {
+		t.Fatalf("unset flags reported: %v", got)
+	}
+}

@@ -151,6 +151,10 @@ func TestReadResultJSONRejectsBadSchema(t *testing.T) {
 	if _, err := ReadResultJSON(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	bad := `{"schema":1,"final_designs":{"x":{"name":"PDZ-9","receptor":"AC*D"}}}`
+	if _, err := ReadResultJSON(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "PDZ-9") {
+		t.Fatalf("bad residue: got %v, want an error naming the structure", err)
+	}
 }
 
 // schema1Fixture is a schema-1 record written by the encoder that
